@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/dta"
 	"repro/internal/fi"
+	"repro/internal/isa"
 )
 
 // freshSystem builds a private System so the build counters start at
@@ -214,5 +216,97 @@ func TestSingleflightNoCoarseLock(t *testing.T) {
 	}
 	if got := s.GoldenRecordedCount(); got != 2 {
 		t.Errorf("recorded %d goldens, want 2", got)
+	}
+}
+
+// TestModelCSharesViolationGrids pins how model C shares state through
+// the characterizer: concurrent cold builds of a voltage's models
+// characterize each key exactly once, every model reads the one
+// violation grid of each characterization, and the per-model marginal
+// injection probabilities are bit-equal to those of models built alone
+// on a fresh System, so no model's hazard state leaks into another's.
+func TestModelCSharesViolationGrids(t *testing.T) {
+	const vdd = 0.7
+	cfg := DefaultConfig()
+	cfg.DTA = dta.Config{Cycles: 256, Seed: 5}
+	s := New(cfg)
+	var specs []ModelSpec
+	for _, f := range []float64{700, 800, 900} {
+		for _, sigma := range []float64{0, 0.010} {
+			for _, smp := range []fi.Sampling{fi.Independent, fi.Joint} {
+				specs = append(specs, ModelSpec{Kind: "C", Vdd: vdd, FreqMHz: f, Sigma: sigma, Sampling: smp})
+			}
+		}
+	}
+	var aluOps []isa.Op
+	keys := map[dta.Key]bool{}
+	for _, op := range isa.AllOps() {
+		if isa.IsALU(op) {
+			aluOps = append(aluOps, op)
+			keys[dta.KeyFor(op, nil)] = true
+		}
+	}
+
+	// Race every spec from several goroutines at once on the cold
+	// System, each querying its model's marginals as soon as it lands.
+	const perSpec = 3
+	got := make([]fi.Model, len(specs)*perSpec)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := s.Model(specs[i/perSpec])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, op := range aluOps {
+				m.(*fi.ModelC).MarginalProb(op)
+			}
+			got[i] = m
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if n := s.Char.ComputedCount(); n != int64(len(keys)) {
+		t.Errorf("concurrent cold builds ran %d characterizations, want %d (one per key)", n, len(keys))
+	}
+
+	grids := map[dta.Key]map[*dta.ViolationGrid]bool{}
+	for _, m := range got {
+		mc := m.(*fi.ModelC)
+		for _, op := range aluOps {
+			k := dta.KeyFor(op, nil)
+			if grids[k] == nil {
+				grids[k] = map[*dta.ViolationGrid]bool{}
+			}
+			grids[k][mc.Grid(op)] = true
+		}
+	}
+	for k, set := range grids {
+		ch, err := s.Char.At(k, vdd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set) != 1 || !set[ch.Grid()] {
+			t.Errorf("key %+v: models read %d distinct grids, want the characterization's own", k, len(set))
+		}
+	}
+
+	for i, spec := range specs {
+		shared := got[i*perSpec].(*fi.ModelC)
+		alone, err := New(cfg).NewModel(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range aluOps {
+			a, b := shared.MarginalProb(op), alone.(*fi.ModelC).MarginalProb(op)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Errorf("%+v %v: shared MarginalProb %v, fresh-System model %v", spec, op, a, b)
+			}
+		}
 	}
 }

@@ -145,6 +145,13 @@ type Characterization struct {
 	SetupPs float64
 	// MaxPs is the largest arrival observed anywhere.
 	MaxPs float64
+
+	// grid is the violation grid derived from the fields above, built
+	// on first Grid call.
+	grid struct {
+		once sync.Once
+		g    *ViolationGrid
+	}
 }
 
 // NumEndpoints returns the endpoint count (32, or 33 with flag).
@@ -157,6 +164,84 @@ func (c *Characterization) OnsetMHz() float64 {
 		return math.Inf(1)
 	}
 	return 1e6 / (c.MaxPs + c.SetupPs)
+}
+
+// ViolationGrid is the sampling state model C derives from one
+// characterization: per-endpoint violation probabilities on a 1-ps grid
+// over the effective period axis (period / noise factor), and the cycle
+// index joint sampling conditions on. It depends on nothing but the
+// characterization, so every model built on one characterization —
+// whatever its frequency, noise sigma or sampling mode — shares one
+// grid. Read-only.
+type ViolationGrid struct {
+	// MaxPs is the effective period at and beyond which nothing
+	// violates: the largest arrival plus the setup time.
+	MaxPs float64
+	// StepPs is the grid resolution: index i is effective period
+	// i*StepPs.
+	StepPs float64
+	// PNone[i] is the probability that no endpoint violates at index i.
+	PNone []float64
+	// PBit[e][i] is endpoint e's violation probability at index i.
+	PBit [][]float64
+	// Active lists the endpoints with a nonzero probability anywhere.
+	Active []int
+	// SortedMax is MaxPerCycle ascending; Order holds the cycle indices
+	// by MaxPerCycle descending, so its first k entries are exactly the
+	// k violating cycles at any effective period.
+	SortedMax []float64
+	Order     []int
+}
+
+// Grid returns the characterization's violation grid, building it on
+// first use; concurrent callers share one build. The grid is owned by
+// the characterization, so it is dropped together with the
+// Characterizer (and System) that cached it.
+func (c *Characterization) Grid() *ViolationGrid {
+	c.grid.once.Do(func() { c.grid.g = newViolationGrid(c) })
+	return c.grid.g
+}
+
+func newViolationGrid(c *Characterization) *ViolationGrid {
+	nEP := c.NumEndpoints()
+	g := &ViolationGrid{MaxPs: c.MaxPs + c.SetupPs, StepPs: 1}
+	n := int(math.Ceil(g.MaxPs/g.StepPs)) + 2
+	g.PNone = make([]float64, n)
+	g.PBit = make([][]float64, nEP)
+	anyProb := make([]bool, nEP)
+	for e := range g.PBit {
+		g.PBit[e] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		period := float64(i) * g.StepPs
+		pN := 1.0
+		for e := 0; e < nEP; e++ {
+			p := c.CDFs[e].ViolationProb(period)
+			g.PBit[e][i] = p
+			pN *= 1 - p
+			if p > 0 {
+				anyProb[e] = true
+			}
+		}
+		g.PNone[i] = pN
+	}
+	for e, a := range anyProb {
+		if a {
+			g.Active = append(g.Active, e)
+		}
+	}
+
+	g.SortedMax = make([]float64, c.Cycles)
+	copy(g.SortedMax, c.MaxPerCycle)
+	sort.Float64s(g.SortedMax)
+	g.Order = make([]int, c.Cycles)
+	for i := range g.Order {
+		g.Order[i] = i
+	}
+	sort.SliceStable(g.Order, func(a, b int) bool {
+		return c.MaxPerCycle[g.Order[a]] > c.MaxPerCycle[g.Order[b]]
+	})
+	return g
 }
 
 // Config parameterizes a Characterizer.

@@ -578,37 +578,27 @@ type ModelC struct {
 	tables [isa.NumOps]*opTable
 }
 
-// opTable holds the per-instruction probability grids over the effective
-// period axis (period / noise factor), at 1 ps resolution.
+// opTable is one model's view of one characterization: the
+// characterization's violation grid, shared with every other model
+// built on it, plus this model's marginal injection probability. Ops
+// that map to one characterization share one opTable within a model.
 type opTable struct {
-	ch     *dta.Characterization
-	nEP    int
-	maxPs  float64 // beyond this effective period nothing violates
-	stepPs float64
-	pNone  []float64
-	pBit   [][]float64 // [endpoint][grid index]
-	active []int       // endpoints with nonzero probability anywhere
+	ch *dta.Characterization
+	g  *dta.ViolationGrid // ch.Grid()
 
-	// haz is the table's first-fault sampling state, built lazily on
-	// first MarginalProb/SampleAt use (tables are private to one model,
-	// so the model's operating point and sampling mode are fixed).
-	haz struct {
+	// prob is the marginal per-query injection probability at the
+	// model's operating point and sampling mode, built on first
+	// MarginalProb/SampleAt use.
+	prob struct {
 		once sync.Once
-		// prob is the marginal per-query injection probability.
-		prob float64
-		// sortedMax / order support joint conditional sampling:
-		// MaxPerCycle ascending, and cycle indices by MaxPerCycle
-		// descending (the first k entries are exactly the k violating
-		// cycles at any effective period).
-		sortedMax []float64
-		order     []int
+		p    float64
 	}
 }
 
 // gridIndex maps an effective period to its probability-grid index,
 // exactly as the per-cycle injector does.
 func (t *opTable) gridIndex(eff float64) int {
-	idx := int(eff / t.stepPs)
+	idx := int(eff / t.g.StepPs)
 	if idx < 0 {
 		idx = 0
 	}
@@ -616,18 +606,18 @@ func (t *opTable) gridIndex(eff float64) int {
 }
 
 // violCycles counts characterization cycles whose worst arrival plus
-// setup exceeds the effective period (requires haz.sortedMax).
+// setup exceeds the effective period.
 func (t *opTable) violCycles(eff float64) int {
 	x := eff - t.ch.SetupPs
-	i := sort.SearchFloat64s(t.haz.sortedMax, math.Nextafter(x, math.Inf(1)))
-	return len(t.haz.sortedMax) - i
+	i := sort.SearchFloat64s(t.g.SortedMax, math.Nextafter(x, math.Inf(1)))
+	return len(t.g.SortedMax) - i
 }
 
 // violationsAtCycle folds characterization cycle j's arrivals into a
 // violation set at the effective period — the joint-sampling capture
 // law, shared by Inject and SampleAt.
 func (t *opTable) violationsAtCycle(j int, eff float64) (viol uint32, flagViol bool) {
-	for e := 0; e < t.nEP; e++ {
+	for e := range t.ch.Arrivals {
 		if t.ch.Arrivals[e][j]+t.ch.SetupPs > eff {
 			if e == circuit.FlagEndpoint {
 				flagViol = true
@@ -652,11 +642,12 @@ func (t *opTable) sampleSubsetAt(rng *rand.Rand, idx int) (viol uint32, flagViol
 			viol |= 1 << uint(e)
 		}
 	}
-	r := rng.Float64() * (1 - t.pNone[idx])
+	g := t.g
+	r := rng.Float64() * (1 - g.PNone[idx])
 	acc, pref := 0.0, 1.0
 	first, lastNonzero := -1, -1
-	for k, e := range t.active {
-		p := t.pBit[e][idx]
+	for k, e := range g.Active {
+		p := g.PBit[e][idx]
 		if p > 0 {
 			lastNonzero = k
 		}
@@ -673,12 +664,12 @@ func (t *opTable) sampleSubsetAt(rng *rand.Rand, idx int) (viol uint32, flagViol
 		// here at all.
 		first = lastNonzero
 		if first < 0 {
-			first = len(t.active) - 1
+			first = len(g.Active) - 1
 		}
 	}
-	set(t.active[first])
-	for _, e := range t.active[first+1:] {
-		if rng.Float64() < t.pBit[e][idx] {
+	set(g.Active[first])
+	for _, e := range g.Active[first+1:] {
+		if rng.Float64() < g.PBit[e][idx] {
 			set(e)
 		}
 	}
@@ -695,9 +686,14 @@ type ModelCConfig struct {
 	Sampling Sampling
 }
 
-// NewModelC builds the statistical model for one operating point; the
-// required characterizations run (and cache) on first use.
+// NewModelC builds the statistical model for one operating point. The
+// voltage's characterizations run (and cache) on first use, all keys in
+// parallel; their violation grids are shared with every other model
+// built on the same characterizer.
 func NewModelC(ch *dta.Characterizer, cfg ModelCConfig) (*ModelC, error) {
+	if err := ch.Prewarm(cfg.Profile, cfg.Vdd); err != nil {
+		return nil, err
+	}
 	m := &ModelC{
 		sem:      cfg.Sem,
 		sampling: cfg.Sampling,
@@ -717,47 +713,12 @@ func NewModelC(ch *dta.Characterizer, cfg ModelCConfig) (*ModelC, error) {
 			if err != nil {
 				return nil, err
 			}
-			t = newOpTable(c)
+			t = &opTable{ch: c, g: c.Grid()}
 			built[key] = t
 		}
 		m.tables[op] = t
 	}
 	return m, nil
-}
-
-func newOpTable(c *dta.Characterization) *opTable {
-	t := &opTable{
-		ch:     c,
-		nEP:    c.NumEndpoints(),
-		maxPs:  c.MaxPs + c.SetupPs,
-		stepPs: 1,
-	}
-	n := int(math.Ceil(t.maxPs/t.stepPs)) + 2
-	t.pNone = make([]float64, n)
-	t.pBit = make([][]float64, t.nEP)
-	anyProb := make([]bool, t.nEP)
-	for e := 0; e < t.nEP; e++ {
-		t.pBit[e] = make([]float64, n)
-	}
-	for i := 0; i < n; i++ {
-		period := float64(i) * t.stepPs
-		pN := 1.0
-		for e := 0; e < t.nEP; e++ {
-			p := c.CDFs[e].ViolationProb(period)
-			t.pBit[e][i] = p
-			pN *= 1 - p
-			if p > 0 {
-				anyProb[e] = true
-			}
-		}
-		t.pNone[i] = pN
-	}
-	for e, a := range anyProb {
-		if a {
-			t.active = append(t.active, e)
-		}
-	}
-	return t
 }
 
 // Name implements Model.
@@ -775,7 +736,17 @@ func (m *ModelC) OnsetMHz(op isa.Op) float64 {
 	if t == nil {
 		return math.Inf(1)
 	}
-	return 1e6 / t.maxPs
+	return 1e6 / t.g.MaxPs
+}
+
+// Grid returns the violation grid model C samples op from (nil for
+// non-ALU ops). It is the characterization's own grid, shared with every
+// model built on the same characterizer; treat it as read-only.
+func (m *ModelC) Grid(op isa.Op) *dta.ViolationGrid {
+	if t := m.tables[op]; t != nil {
+		return t.g
+	}
+	return nil
 }
 
 // injectProbAt returns the conditional probability that one query on
@@ -785,38 +756,24 @@ func (m *ModelC) OnsetMHz(op isa.Op) float64 {
 // conditioned noise sampler.
 func (m *ModelC) injectProbAt(t *opTable, mNoise float64) float64 {
 	eff := m.periodPs / mNoise
-	if eff >= t.maxPs {
+	if eff >= t.g.MaxPs {
 		return 0
 	}
 	if m.sampling == Joint {
 		return float64(t.violCycles(eff)) / float64(t.ch.Cycles)
 	}
-	return 1 - t.pNone[t.gridIndex(eff)]
+	return 1 - t.g.PNone[t.gridIndex(eff)]
 }
 
-// hazardOf lazily computes the table's first-fault sampling state: the
-// marginal injection probability (noise integrated out numerically over
-// the noiseScale table), and the sorted cycle index joint sampling
-// conditions on. Tables are private to one model instance, so a single
-// sync.Once per table suffices.
+// hazardOf lazily computes the table's marginal injection probability:
+// the noise integrated out numerically over the noiseScale table. The
+// opTable belongs to this model, so one sync.Once per table suffices;
+// the shared grid it reads is never written.
 func (m *ModelC) hazardOf(t *opTable) float64 {
-	t.haz.once.Do(func() {
-		if m.sampling == Joint {
-			n := t.ch.Cycles
-			t.haz.sortedMax = make([]float64, n)
-			copy(t.haz.sortedMax, t.ch.MaxPerCycle)
-			sort.Float64s(t.haz.sortedMax)
-			t.haz.order = make([]int, n)
-			for i := range t.haz.order {
-				t.haz.order[i] = i
-			}
-			sort.SliceStable(t.haz.order, func(a, b int) bool {
-				return t.ch.MaxPerCycle[t.haz.order[a]] > t.ch.MaxPerCycle[t.haz.order[b]]
-			})
-		}
-		t.haz.prob = m.noise.marginal(func(f float64) float64 { return m.injectProbAt(t, f) })
+	t.prob.once.Do(func() {
+		t.prob.p = m.noise.marginal(func(f float64) float64 { return m.injectProbAt(t, f) })
 	})
-	return t.haz.prob
+	return t.prob.p
 }
 
 // MarginalProb implements HazardModel: the injection probability of one
@@ -839,7 +796,6 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 	if t == nil {
 		return result, flag, 0 // unreachable: MarginalProb(op) = 0
 	}
-	m.hazardOf(t) // ensure the joint cycle index exists
 	pInj := func(f float64) float64 { return m.injectProbAt(t, f) }
 	mNoise := m.noise.conditionedFactor(rng, pInj, pInj(m.noise.maxFactor()))
 	eff := m.periodPs / mNoise
@@ -850,7 +806,7 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 		if k <= 0 {
 			k = 1 // unreachable: conditioning guarantees >= 1 violating cycle
 		}
-		j := t.haz.order[rng.Intn(k)]
+		j := t.g.Order[rng.Intn(k)]
 		viol, flagViol = t.violationsAtCycle(j, eff)
 	} else {
 		viol, flagViol = t.sampleSubsetAt(rng, t.gridIndex(eff))
@@ -866,7 +822,7 @@ func (m *ModelC) SampleAt(rng *rand.Rand, op isa.Op, result, prev uint32, flag, 
 		// the strongest result-bit endpoint.
 		best, idx := 0, t.gridIndex(eff)
 		for e := 0; e < circuit.Width; e++ {
-			if t.pBit[e][idx] > t.pBit[best][idx] {
+			if t.g.PBit[e][idx] > t.g.PBit[best][idx] {
 				best = e
 			}
 		}
@@ -886,9 +842,10 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 	if t == nil {
 		return result, flag, 0
 	}
+	g := t.g
 	mNoise := c.noise.sample(in.rng)
 	eff := c.periodPs / mNoise
-	if eff >= t.maxPs {
+	if eff >= g.MaxPs {
 		return result, flag, 0
 	}
 	var viol uint32
@@ -896,7 +853,7 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 	switch c.sampling {
 	case Independent:
 		idx := t.gridIndex(eff)
-		if in.rng.Float64() < t.pNone[idx] {
+		if in.rng.Float64() < g.PNone[idx] {
 			return result, flag, 0
 		}
 		// At least one endpoint violates; sample the subset conditioned
@@ -908,9 +865,9 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 		const rejectBudget = 4096
 		for round := 0; viol == 0 && !flagViol; round++ {
 			if round == rejectBudget {
-				best := t.active[0]
-				for _, e := range t.active {
-					if t.pBit[e][idx] > t.pBit[best][idx] {
+				best := g.Active[0]
+				for _, e := range g.Active {
+					if g.PBit[e][idx] > g.PBit[best][idx] {
 						best = e
 					}
 				}
@@ -921,8 +878,8 @@ func (in *modelCInjector) Inject(op isa.Op, result, prev uint32, flag, prevFlag 
 				}
 				break
 			}
-			for _, e := range t.active {
-				if in.rng.Float64() < t.pBit[e][idx] {
+			for _, e := range g.Active {
+				if in.rng.Float64() < g.PBit[e][idx] {
 					if e == circuit.FlagEndpoint {
 						flagViol = true
 					} else {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/dta"
 	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/timing"
@@ -233,27 +234,26 @@ func TestHazardDeterministicInjection(t *testing.T) {
 }
 
 // TestModelCRejectionLoopBounded is the regression for the bounded
-// rejection loop: a degenerate table whose pNone promises injection
-// while every pBit is vanishingly small must still terminate (via the
+// rejection loop: a degenerate grid whose PNone promises injection
+// while every PBit is vanishingly small must still terminate (via the
 // retry-budget fallback) and flip the highest-probability endpoint.
 func TestModelCRejectionLoopBounded(t *testing.T) {
-	tbl := &opTable{
-		nEP:    circuit.Width,
-		maxPs:  4000,
-		stepPs: 1,
-		pNone:  make([]float64, 4002),
-		pBit:   make([][]float64, circuit.Width),
-		active: []int{3, 7},
+	g := &dta.ViolationGrid{
+		MaxPs:  4000,
+		StepPs: 1,
+		PNone:  make([]float64, 4002),
+		PBit:   make([][]float64, circuit.Width),
+		Active: []int{3, 7},
 	}
-	for e := range tbl.pBit {
-		tbl.pBit[e] = make([]float64, 4002)
+	for e := range g.PBit {
+		g.PBit[e] = make([]float64, 4002)
 	}
-	for i := range tbl.pNone {
-		// pNone = 0 claims certain injection; the per-endpoint draws
+	for i := range g.PNone {
+		// PNone = 0 claims certain injection; the per-endpoint draws
 		// below can essentially never realize one.
-		tbl.pNone[i] = 0
-		tbl.pBit[3][i] = 1e-300
-		tbl.pBit[7][i] = 2e-300
+		g.PNone[i] = 0
+		g.PBit[3][i] = 1e-300
+		g.PBit[7][i] = 2e-300
 	}
 	m := &ModelC{
 		sem:      FlipBit,
@@ -261,7 +261,7 @@ func TestModelCRejectionLoopBounded(t *testing.T) {
 		periodPs: circuit.PeriodPs(700),
 		noise:    newNoiseScale(timing.DefaultVddDelay(), 0.7, timing.NewNoise(0)),
 	}
-	m.tables[isa.OpAdd] = tbl
+	m.tables[isa.OpAdd] = &opTable{g: g}
 	inj := m.NewTrial(stats.NewRand(47))
 	out, _, flips := inj.Inject(isa.OpAdd, 0xffffffff, 0, false, false)
 	if flips != 1 {

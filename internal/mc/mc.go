@@ -61,9 +61,9 @@
 // driven over every recorded ALU query (fi.ScanTrace) and only trials
 // that actually flip fork into full simulation. The scan is
 // bit-identical to full execution for a fixed seed; it is kept as the
-// exact reference for the sampling path. ModeFull (or RunFull, or
-// Spec.DisableReplay) forces full ISS execution for every trial — the
-// reference the scan is differentially tested against.
+// exact reference for the sampling path. ModeFull (or RunFull) forces
+// full ISS execution for every trial — the reference the scan is
+// differentially tested against.
 //
 // Optionally, trial allocation is adaptive (TrialsMin/TrialsMax): a
 // point starts with TrialsMin trials and grows in TrialsMin batches
@@ -188,9 +188,6 @@ type Spec struct {
 	// (ModeScan), or full ISS execution (ModeFull). See the package
 	// comment for when each applies.
 	Mode Mode
-	// DisableReplay is the historical switch for the full reference
-	// path; it forces Mode = ModeFull. See RunFull.
-	DisableReplay bool
 	// InputSeed fixes the benchmark's input data.
 	InputSeed int64
 	// WatchdogFactor bounds a faulty run at this multiple of the
@@ -208,9 +205,6 @@ type Spec struct {
 }
 
 func (s Spec) withDefaults() Spec {
-	if s.DisableReplay {
-		s.Mode = ModeFull
-	}
 	if s.Trials <= 0 {
 		s.Trials = 100
 	}
@@ -1118,7 +1112,7 @@ func RunScan(spec Spec, fMHz float64) (Point, error) {
 // trial — the reference implementation both fast paths are measured
 // against, kept the way SweepSerial is kept for the sweep engine.
 func RunFull(spec Spec, fMHz float64) (Point, error) {
-	spec.DisableReplay = true
+	spec.Mode = ModeFull
 	return Run(spec, fMHz)
 }
 

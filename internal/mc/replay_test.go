@@ -109,7 +109,7 @@ func TestReplayAdaptiveMatchesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.DisableReplay = true
+	spec.Mode = ModeFull
 	full, err := Sweep(spec, freqs)
 	if err != nil {
 		t.Fatal(err)
