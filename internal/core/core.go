@@ -266,10 +266,12 @@ func (s *System) Model(spec ModelSpec) (fi.Model, error) {
 }
 
 // NewModel instantiates the spec against this system without consulting
-// the model cache. It is the original uncached construction path, kept
-// for benchmarks and determinism tests that compare against per-point
-// rebuilding. Operating points beyond the non-ALU safe limit are
-// rejected for the timing-based models.
+// the model cache: every call returns a new model instance, for
+// benchmarks and determinism tests that need one. It still shares what
+// the system's characterizer holds — a model C instance reuses the
+// cached characterizations and their violation grids — so only the
+// per-operating-point state is built anew. Operating points beyond the
+// non-ALU safe limit are rejected for the timing-based models.
 func (s *System) NewModel(spec ModelSpec) (fi.Model, error) {
 	switch spec.Kind {
 	case "", "none":

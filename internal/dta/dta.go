@@ -13,8 +13,10 @@
 // ranges — this is where the paper's data-width effects come from.
 //
 // In the dependency graph, dta sits on circuit/gates/timing below and
-// serves the model-C construction in fi/core above; characterizations
-// persist through internal/artifact when a store is attached.
+// serves the model-C construction in fi/core above, including the
+// violation grid each characterization builds once for every model that
+// reads it; characterizations persist through internal/artifact when a
+// store is attached.
 package dta
 
 import (
@@ -125,7 +127,8 @@ func KeyFor(op isa.Op, p Profile) Key {
 }
 
 // Characterization holds the DTA result for one key at one voltage: the
-// raw arrival matrix and the per-endpoint CDFs. Endpoint indices 0..31
+// raw arrival matrix, the per-endpoint CDFs and, from its first use, the
+// violation grid derived from them. Endpoint indices 0..31
 // are the result bits; circuit.FlagEndpoint is the flag (compare unit
 // only).
 type Characterization struct {

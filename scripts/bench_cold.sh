@@ -35,9 +35,18 @@ go test -run '^$' \
   -memprofile "$profdir/cold_mem.pprof" \
   . | tee "$raw"
 
-awk -v benchtime="$benchtime" '
+# The run's environment, so the snapshot states where its numbers come
+# from.
+commit=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+[ -z "$(git status --porcelain --untracked-files=no 2>/dev/null)" ] || commit="$commit+modified"
+gover=$(go env GOVERSION)
+cpu=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || echo unknown)
+
+awk -v benchtime="$benchtime" -v commit="$commit" -v gover="$gover" -v cpu="$cpu" '
   /^Benchmark/ {
     name = $1
+    procs = 1  # go test names no suffix when GOMAXPROCS is 1
+    if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
     sub(/-[0-9]+$/, "", name)  # strip the GOMAXPROCS suffix
     ns[name] = $3
     extra = ""
@@ -55,6 +64,7 @@ awk -v benchtime="$benchtime" '
   }
   END {
     print "{"
+    printf "  \"env\": {\"commit\": \"%s\", \"go\": \"%s\", \"gomaxprocs\": %s, \"cpu\": \"%s\"},\n", commit, gover, procs, cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
     print "  \"results\": ["
     for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
